@@ -105,4 +105,5 @@ def test_dessim_month_trace_replay(run_once):
         {"heap_s": [r["heap_s"]], "batched_s": [r["batched_s"]],
          "speedup_x": [speedup]},
         directions={"speedup_x": "higher"},
+        units={"speedup_x": "x"},
     )

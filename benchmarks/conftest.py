@@ -27,7 +27,7 @@ def smoke_scale(full, reduced):
     return reduced if SMOKE else full
 
 
-def record_trajectory(area, bench, params, metric_samples, directions=None):
+def record_trajectory(area, bench, params, metric_samples, directions=None, units=None):
     """Append wall-clock samples to the area's ``BENCH_<area>.json``.
 
     Opt-in via ``REPRO_BENCH_RECORD=1``: figure regenerators time real
@@ -43,7 +43,7 @@ def record_trajectory(area, bench, params, metric_samples, directions=None):
 
     return record_samples(
         area, bench, {**dict(params), "smoke": SMOKE}, metric_samples,
-        directions=directions,
+        directions=directions, units=units,
     )
 
 

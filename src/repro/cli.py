@@ -1167,14 +1167,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "factors, e.g. {\"scale\": {\"t4\": 0.8}} — "
                             "profiler-measured corrections to the static "
                             "capability table")
-    trace.add_argument("--core", default="heap",
+    trace.add_argument("--core", default="batched",
                        choices=["heap", "batched", "reference"],
-                       help="discrete-event core: 'heap' (single priority "
-                            "queue, default), 'batched' (coalesced event "
+                       help="discrete-event core: 'batched' (coalesced event "
                             "drain + vectorized job advance + incremental "
-                            "arbitration — the production-scale fast path), "
-                            "or 'reference' (the linear candidate scan) — "
-                            "all three produce byte-identical event streams")
+                            "arbitration — the production-scale fast path, "
+                            "default), 'heap' (single priority queue), or "
+                            "'reference' (the linear candidate scan) — all "
+                            "three produce byte-identical event streams, so "
+                            "the choice changes only speed")
 
     faults = sub.add_parser(
         "faults", help="deterministic fault injection (plan generation, replay)"

@@ -283,9 +283,12 @@ def record_samples(
     metric_samples: Mapping[str, Sequence[float]],
     directions: Optional[Mapping[str, str]] = None,
     directory: Optional[str] = None,
+    units: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """Build a record and append it to the area's trajectory file."""
-    record = make_record(area, bench, params, metric_samples, directions=directions)
+    record = make_record(
+        area, bench, params, metric_samples, directions=directions, units=units
+    )
     traj = Trajectory.load(area, trajectory_path(area, directory))
     traj.append(record)
     traj.save()
@@ -428,6 +431,8 @@ class BenchSpec:
     #: ratio is higher-is-better and must not be scaled or inverted by
     #: the regression comparator
     directions: Optional[Dict[str, str]] = None
+    #: per-metric unit overrides (default "s"), e.g. "x" for a ratio
+    units: Optional[Dict[str, str]] = None
 
 
 def _bench_sched_plan_round(smoke: bool) -> Tuple[Dict[str, Any], Dict[str, float]]:
@@ -604,6 +609,7 @@ BENCHES: Dict[str, BenchSpec] = {
         "dessim", "trace_replay", _bench_dessim_replay,
         "diurnal trace replay: heap core vs batched core wall cost",
         directions={"speedup_x": "higher"},
+        units={"speedup_x": "x"},
     ),
 }
 
@@ -642,7 +648,7 @@ def run_benches(
                 samples.setdefault(name, []).append(value)
         record = record_samples(
             area, spec.name, params, samples,
-            directions=spec.directions, directory=directory,
+            directions=spec.directions, directory=directory, units=spec.units,
         )
         traj = Trajectory.load(area, trajectory_path(area, directory))
         rows = compare_trajectory(traj, threshold=threshold)

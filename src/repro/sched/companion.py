@@ -142,6 +142,10 @@ class CompanionModule:
         # --- fast path state (before the capability table, whose
         # constructor may bump the generation) ---
         self._generation = 0
+        #: (ownership vector, its version, key) of the last versioned
+        #: vector keyed — see :meth:`clamped_key`; reset on every
+        #: generation bump
+        self._owned_memo: Optional[tuple] = None
         self._full_cache = PlanCache("companion_full", maxsize=cache_size)
         self._topk_cache = PlanCache("companion_topk", maxsize=cache_size)
         self._delta_cache = PlanCache("companion_delta", maxsize=cache_size)
@@ -161,9 +165,44 @@ class CompanionModule:
 
     def _bump_generation(self) -> None:
         self._generation += 1
+        self._owned_memo = None
+        # copy-on-write: a companion sharing its class's plan store moves
+        # to private ones, so its siblings never see plans scored under
+        # this companion's new capability table
         self._full_cache.invalidate()
         self._topk_cache.invalidate()
         self._delta_cache.invalidate()
+
+    @property
+    def class_key(self) -> tuple:
+        """Every input a stored plan depends on besides availability.
+
+        (capability contents, maxP, per-type cap, plan shape): two
+        companions with equal class keys answer every query identically,
+        so they may share one plan store.  Callers build it once per
+        generation (plan-store registration, class interning), never per
+        query.
+        """
+        return (
+            tuple(sorted(self.capability.items())),
+            self.max_p,
+            self.max_gpus_per_type,
+            self.homogeneous_only,
+        )
+
+    def join_plan_store(self, stores: Dict[tuple, Tuple[dict, dict, dict]]) -> None:
+        """Share plan storage with the other companions of this class.
+
+        ``stores`` maps :attr:`class_key` to the (full, top-K, delta)
+        entry dicts of that class; the first companion of a class
+        registers its own.  Hit/miss statistics stay per companion, and
+        a later generation bump moves this companion back to private
+        stores (see :meth:`_bump_generation`).
+        """
+        caches = (self._full_cache, self._topk_cache, self._delta_cache)
+        shared = stores.setdefault(self.class_key, tuple(c.store for c in caches))
+        for cache, store in zip(caches, shared):
+            cache.share(store)
 
     def cache_stats(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/invalidation/eviction counts for all three caches."""
@@ -173,10 +212,28 @@ class CompanionModule:
             "delta": self._delta_cache.stats.as_dict(),
         }
 
-    def _key(self, available: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
-        return availability_key(
+    def clamped_key(self, available: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
+        """:func:`availability_key` of ``available`` under this companion.
+
+        A job's ownership vector (:class:`~repro.sched.simulator.Ownership`)
+        carries a ``version`` that every mutation bumps; its key is kept
+        until the job holds another vector, the version moves, or this
+        companion's generation changes, so the Role-1 replan check, Role-2
+        proposal memo and delta searches all read one maintained key
+        instead of re-sorting the vector per call.  Unversioned mappings
+        are keyed afresh every time.
+        """
+        version = getattr(available, "version", None)
+        memo = self._owned_memo
+        if memo is not None and memo[0] is available and memo[1] == version:
+            return memo[2]
+        key = availability_key(
             available, self.capability, self.max_p, self.max_gpus_per_type
         )
+        if version is not None:
+            # holding the vector keeps its identity from being reused
+            self._owned_memo = (available, version, key)
+        return key
 
     # ------------------------------------------------------------------
     # plan enumeration
@@ -253,7 +310,7 @@ class CompanionModule:
 
     def enumerate_plans(self, available: Mapping[str, int]) -> List[ScoredPlan]:
         """All feasible scored plans under the given free-GPU counts."""
-        key = self._key(available)
+        key = self.clamped_key(available)
         cached = self._full_cache.get(key)
         if cached is not MISS:
             return list(cached)
@@ -263,7 +320,7 @@ class CompanionModule:
 
     def best_plans(self, available: Mapping[str, int], top_k: int = 3) -> List[ScoredPlan]:
         """Top-K plans; cached and dominance-pruned (see module docs)."""
-        key = self._key(available)
+        key = self.clamped_key(available)
         full = self._full_cache.get(key)
         if full is not MISS:
             return list(full[:top_k])
@@ -351,7 +408,7 @@ class CompanionModule:
         new_cap = min(int(owned.get(gtype, 0)) + chunk, self.max_p, self.max_gpus_per_type)
         if new_cap <= old_cap:
             return base  # caps already saturated: identical plan space
-        owned_key = self._key(owned)
+        owned_key = self.clamped_key(owned)
         delta_key = (owned_key, gtype, old_cap, new_cap)
         cached = self._delta_cache.get(delta_key)
         if cached is not MISS:

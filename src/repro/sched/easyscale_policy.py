@@ -19,8 +19,6 @@ from typing import Dict, List, Mapping, Optional
 from repro.sched.companion import CompanionModule
 from repro.sched.inter import InterJobScheduler
 from repro.sched.intra import IntraJobScheduler, ResourceProposal
-from repro.sched.perfmodel import estimated_throughput
-from repro.sched.plancache import availability_key
 from repro.sched.simulator import ClusterSimulator, JobRuntime, SchedulingPolicy
 
 
@@ -59,6 +57,9 @@ class EasyScalePolicy(SchedulingPolicy):
         self.restrict_conv_heavy = restrict_conv_heavy
         self.name = "easyscale-heter" if heterogeneous else "easyscale-homo"
         self.inter = InterJobScheduler()
+        #: class-scoped plan stores shared by the companions of this
+        #: policy's jobs (see :meth:`CompanionModule.join_plan_store`)
+        self._plan_stores: Dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
     def on_job_arrival(self, sim: ClusterSimulator, runtime: JobRuntime) -> None:
@@ -78,6 +79,7 @@ class EasyScalePolicy(SchedulingPolicy):
             capability=capability,
             homogeneous_only=homogeneous_only,
         )
+        companion.join_plan_store(self._plan_stores)
         runtime.agent = IntraJobScheduler(job.job_id, companion)
 
     # ------------------------------------------------------------------
@@ -102,29 +104,40 @@ class EasyScalePolicy(SchedulingPolicy):
             self._apply_plan(runtime)
 
         # Role-2 + inter-job arbitration, iterated until the free pool is
-        # drained or nobody wants more
+        # drained or nobody wants more; the pool total is tracked across
+        # rounds (each grant takes exactly its GPUs from it)
+        by_job = {r.job.job_id: r for r in active}
+        free = sim.free_by_type()
+        free_total = sum(free.values())
         for _ in range(64):  # bounded: each round grants >=1 GPU
-            free = sim.free_by_type()
-            if sum(free.values()) == 0:
+            if free_total == 0:
                 break
             proposals: List[ResourceProposal] = []
+            # this round's free key per free-pool scope, built on first use
+            free_keys: Dict[int, tuple] = {}
             for runtime in active:
                 if runtime.status == "done":
                     continue
+                agent = runtime.agent
                 if incremental:
+                    scope = self.inter.class_ids(agent)[1]
+                    free_key = free_keys.get(scope)
+                    if free_key is None:
+                        free_key = free_keys[scope] = self.inter.free_key(agent, free)
                     proposals.extend(
-                        self.inter.proposals_for(runtime.agent, runtime.owned, free)
+                        self.inter.proposals_for(agent, runtime.owned, free, free_key)
                     )
                 else:
-                    proposals.extend(runtime.agent.propose(runtime.owned, free))
+                    proposals.extend(agent.propose(runtime.owned, free))
             grants = self.inter.arbitrate(proposals, free)
             if not grants:
                 break
-            by_job = {r.job.job_id: r for r in active}
             for grant in grants:
                 runtime = by_job[grant.job_id]
                 sim.grant(runtime, grant.gtype, grant.gpus)
                 self._apply_plan(runtime)
+                free_total -= grant.gpus
+            free = sim.free_by_type()
 
     # ------------------------------------------------------------------
     def on_preempt(self, sim: ClusterSimulator, runtime: JobRuntime, now: float) -> None:
@@ -145,15 +158,7 @@ class EasyScalePolicy(SchedulingPolicy):
     def _plan_key(runtime: JobRuntime) -> tuple:
         """Everything :meth:`_apply_plan`'s outcome depends on."""
         companion = runtime.agent.companion
-        return (
-            availability_key(
-                runtime.owned,
-                companion.capability,
-                companion.max_p,
-                companion.max_gpus_per_type,
-            ),
-            companion.generation,
-        )
+        return (companion.clamped_key(runtime.owned), companion.generation)
 
     def _apply_plan(self, runtime: JobRuntime) -> None:
         scored = runtime.agent.apply_best_plan(runtime.owned)

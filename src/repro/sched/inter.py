@@ -25,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro import obs
 from repro.obs import flightrec
 from repro.sched.intra import IntraJobScheduler, ResourceProposal
-from repro.sched.plancache import availability_key
 
 
 @dataclass(frozen=True)
@@ -40,78 +39,106 @@ class InterJobScheduler:
 
     def __init__(self) -> None:
         self.grant_log: List[Grant] = []
+        #: interned job classes: (companion class key, proposal menu,
+        #: top-K) -> small id; every input of Role-2 proposal generation
+        #: other than the clamped ownership and free vectors
+        self._class_ids: Dict[tuple, int] = {}
+        #: interned free-pool scopes: (proposal menu, capability types) ->
+        #: small id; jobs of one scope fold a free pool to the same key
+        self._scope_ids: Dict[tuple, int] = {}
         #: incremental-arbitration memo, shared across *all* jobs of the
-        #: same class: the key folds the companion's full parameterization
-        #: (capability-table contents, caps, plan-shape flags, proposal
-        #: menu) with the clamped ownership and free vectors — every
-        #: input that Role-2 proposal generation depends on
+        #: same class: (class id, clamped owned key, free fit-count key)
         self._proposal_memo: Dict[tuple, List[ResourceProposal]] = {}
-        #: second-level memo for propose() misses: per-job-class caches of
-        #: the inner best_plan_delta searches, keyed by (clamped owned,
-        #: gtype, chunk) — two proposal passes that differ only in their
-        #: free vectors still share every plan search they have in common
-        self._delta_memo: Dict[tuple, Dict[tuple, object]] = {}
+        #: second-level memo for propose() misses: per-class caches of the
+        #: inner best_plan_delta searches, keyed by (clamped owned, gtype,
+        #: chunk) — two proposal passes that differ only in their free
+        #: vectors still share every plan search they have in common
+        self._delta_memo: Dict[int, Dict[tuple, object]] = {}
         self.proposal_memo_hits = 0
         self.proposal_memo_misses = 0
 
     # ------------------------------------------------------------------
     # incremental Role-2: only re-score jobs whose availability changed
     # ------------------------------------------------------------------
+    def class_ids(self, agent: IntraJobScheduler) -> Tuple[int, int]:
+        """``(class id, free scope id)`` of ``agent``, interned here.
+
+        Built once per (agent, capability generation) — the agent drops
+        the memo when its proposal menu or top-K changes — so a memo
+        lookup hashes two small ints instead of re-sorting the capability
+        table per call.
+        """
+        generation = agent.companion.generation
+        memo = agent._class_memo
+        if memo is not None and memo[0] is self and memo[1] == generation:
+            return memo[2]
+        companion = agent.companion
+        chunks = agent.scaleout_chunks
+        class_key = (companion.class_key, chunks, agent.top_k)
+        scope_key = (chunks, tuple(sorted(companion.capability)))
+        ids = (
+            self._class_ids.setdefault(class_key, len(self._class_ids)),
+            self._scope_ids.setdefault(scope_key, len(self._scope_ids)),
+        )
+        agent._class_memo = (self, generation, ids)
+        return ids
+
+    @staticmethod
+    def free_key(agent: IntraJobScheduler, free: Mapping[str, int]) -> tuple:
+        """The free pool as :meth:`IntraJobScheduler.propose` reads it.
+
+        propose() sees the pool only through "which chunks of the sorted
+        menu fit this type" (the chunk loop breaks at the first chunk >
+        free; per-chunk scores never see the exact count), so each type
+        folds to its fit count — free counts of 5, 6, and 7 against menu
+        (1, 2, 4, 8) are the same pool.  Equal for every agent of one
+        :meth:`class_ids` scope, so a scheduling round builds it once per
+        scope.
+        """
+        chunks = agent.scaleout_chunks
+        capability = agent.companion.capability
+        return tuple(
+            (t, fits)
+            for t, v in sorted(free.items())
+            if t in capability and (fits := bisect_right(chunks, int(v))) > 0
+        )
+
     def proposals_for(
         self,
         agent: IntraJobScheduler,
         owned: Mapping[str, int],
         free: Mapping[str, int],
+        free_key: Optional[tuple] = None,
     ) -> List[ResourceProposal]:
         """Role-2 proposals with class-level availability memoization.
 
         :meth:`IntraJobScheduler.propose` is — apart from the ``job_id``
-        stamped into each proposal — a pure function of (a) the
-        companion's parameterization (capability-table *contents*, which
-        calibration mutates, plus ``maxP`` / per-type caps / plan-shape
-        flag) and the agent's proposal menu, (b) the job's ownership
-        vector clamped to the enumeration caps (:func:`availability_key`
-        — raw counts beyond the caps cannot change any plan score), and
-        (c) how many chunks of the sorted scale-out menu fit each free
-        pool — the per-type *fit count*, not the exact free count.  The
-        memo key is exactly that tuple, so it is shared across every job
-        of the
-        same *class*: a saturated 3,000-GPU queue holds hundreds of
-        pending zero-ownership jobs per workload/size class, and one plan
-        search serves all of them (the cached proposals are re-stamped
-        with the asking job's id).  ``current_plan``, which feeds the
-        speedup filter, is itself a deterministic function of the same
-        clamped ownership and capability table, so it needs no key term.
+        stamped into each proposal — a pure function of (a) the job's
+        class: the companion's parameterization (capability-table
+        *contents*, which calibration mutates, plus ``maxP`` / per-type
+        caps / plan-shape flag) and the agent's proposal menu, interned
+        by :meth:`class_ids`; (b) the job's ownership vector clamped to
+        the enumeration caps (the companion's maintained
+        :meth:`~repro.sched.companion.CompanionModule.clamped_key` — raw
+        counts beyond the caps cannot change any plan score); and (c)
+        :meth:`free_key`, which the caller may pass in when it has
+        already built it for this pool.  The memo key is exactly that
+        triple, so it is shared across every job of the same class: a
+        saturated 3,000-GPU queue holds hundreds of pending
+        zero-ownership jobs per workload/size class, and one plan search
+        serves all of them (the cached proposals are re-stamped with the
+        asking job's id).  ``current_plan``, which feeds the speedup
+        filter, is itself a deterministic function of the same clamped
+        ownership and capability table, so it needs no key term.
 
         Memo hits skip the agent's ``sched.propose`` flight-recorder
         entry (forensic telemetry, not part of the :class:`EventLog`
         equivalence surface).
         """
-        companion = agent.companion
-        owned_key = availability_key(
-            owned, companion.capability, companion.max_p, companion.max_gpus_per_type
-        )
-        # propose() reads the free pool only through "which chunks of the
-        # sorted menu fit this type" (the chunk loop breaks at the first
-        # chunk > free; per-chunk scores never see the exact count), so
-        # the key folds each type down to its fit count — free counts of
-        # 5, 6, and 7 against menu (1, 2, 4, 8) are all the same pool
-        chunks = agent.scaleout_chunks
-        free_key = tuple(
-            (t, fits)
-            for t, v in sorted(free.items())
-            if t in companion.capability and (fits := bisect_right(chunks, int(v))) > 0
-        )
-        key = (
-            tuple(sorted(companion.capability.items())),
-            companion.max_p,
-            companion.max_gpus_per_type,
-            companion.homogeneous_only,
-            agent.scaleout_chunks,
-            agent.top_k,
-            owned_key,
-            free_key,
-        )
+        class_id = self.class_ids(agent)[0]
+        if free_key is None:
+            free_key = self.free_key(agent, free)
+        key = (class_id, agent.companion.clamped_key(owned), free_key)
         cached = self._proposal_memo.get(key)
         if cached is not None:
             self.proposal_memo_hits += 1
@@ -125,11 +152,8 @@ class InterJobScheduler:
         self.proposal_memo_misses += 1
         if obs.is_enabled():
             obs.metrics().counter("sched_proposal_memo_total", result="miss").inc()
-        # key[:6] is the class identity (capability contents, caps, plan
-        # shape, proposal menu) without the owned/free terms: the right
-        # scope for sharing raw plan searches across proposal passes
         proposals = agent.propose(
-            owned, free, delta_cache=self._delta_memo.setdefault(key[:6], {})
+            owned, free, delta_cache=self._delta_memo.setdefault(class_id, {})
         )
         self._proposal_memo[key] = proposals
         return list(proposals)

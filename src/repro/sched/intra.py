@@ -23,7 +23,6 @@ from repro.hw.gpu import gpu_type
 from repro.obs import flightrec
 from repro.sched.companion import CompanionModule
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
-from repro.sched.plancache import availability_key
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,10 @@ class IntraJobScheduler:
     ) -> None:
         self.job_id = job_id
         self.companion = companion
+        #: the inter-job scheduler's interned class/scope ids for this
+        #: agent, with the scheduler and generation they were built under;
+        #: None whenever the proposal menu or top-K changes
+        self._class_memo: Optional[tuple] = None
         self.scaleout_chunks = scaleout_chunks
         self.top_k = top_k
         self.current_plan: Optional[Plan] = None
@@ -123,6 +126,16 @@ class IntraJobScheduler:
         if normalized[0] <= 0:
             raise ValueError(f"scale-out chunks must be positive, got {chunks}")
         self._scaleout_chunks = normalized
+        self._class_memo = None
+
+    @property
+    def top_k(self) -> int:
+        return self._top_k
+
+    @top_k.setter
+    def top_k(self, k: int) -> None:
+        self._top_k = k
+        self._class_memo = None
 
     # ------------------------------------------------------------------
     # Role-1
@@ -181,22 +194,16 @@ class IntraJobScheduler:
 
         ``delta_cache``, when given, memoizes the inner
         :meth:`CompanionModule.best_plan_delta` searches keyed by the
-        clamped ownership vector plus the probed ``(gtype, chunk)`` slab.
-        The caller owns the cache and its scope: the incremental
-        inter-job path hands over a per-job-class dict (keyed by the full
-        companion parameterization, so calibration invalidates it), which
+        companion's maintained clamped ownership key
+        (:meth:`CompanionModule.clamped_key`) plus the probed
+        ``(gtype, chunk)`` slab.  The caller owns the cache and its scope:
+        the incremental inter-job path hands over one dict per interned
+        job class (calibration moves the job to another class), which
         lets two proposal passes that differ only in their *free* vectors
         still share every plan search they have in common.
         """
         current_tp = self.current_throughput()
-        owned_key: Optional[tuple] = None
-        if delta_cache is not None:
-            owned_key = availability_key(
-                owned,
-                self.companion.capability,
-                self.companion.max_p,
-                self.companion.max_gpus_per_type,
-            )
+        owned_key = self.companion.clamped_key(owned) if delta_cache is not None else None
         proposals: List[ResourceProposal] = []
         for gtype, free in sorted(cluster_free.items()):
             if gtype not in self.companion.capability or free <= 0:

@@ -14,9 +14,15 @@ changes only when calibration or bias correction rewrites it.
   ``min(available, maxP, max_gpus_per_type)``, zero/unknown types
   dropped), so availability beyond the enumeration caps hits the same
   entry;
-- the owning companion invalidates the whole store whenever its
+- the entries can be **shared** by every companion of one class (same
+  capability contents, caps and plan shape — the inputs every stored
+  plan is a pure function of), while each companion keeps its own
+  :class:`PlanCacheStats`;
+- the owning companion invalidates its view whenever its
   capability-table **generation** bumps (``apply_calibration``,
-  ``report_measurement``, or any direct mutation);
+  ``report_measurement``, or any direct mutation).  Invalidation is
+  copy-on-write: the companion moves to a fresh private store and the
+  shared one is left intact for the rest of its class;
 - bounded size with FIFO eviction — the availability-key space is tiny in
   practice, but a pathological caller can never leak memory;
 - hit/miss/invalidation/eviction counts kept locally *and* mirrored into
@@ -88,6 +94,15 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._store)
 
+    @property
+    def store(self) -> Dict[Hashable, Any]:
+        """The entry dict this cache reads and writes (possibly shared)."""
+        return self._store
+
+    def share(self, store: Dict[Hashable, Any]) -> None:
+        """Read and write ``store`` from now on; statistics stay local."""
+        self._store = store
+
     def get(self, key: Hashable) -> Any:
         """The cached value, or :data:`MISS`."""
         value = self._store.get(key, MISS)
@@ -117,9 +132,12 @@ class PlanCache:
         self._store[key] = value
 
     def invalidate(self) -> None:
-        """Drop every entry (capability-table generation bumped)."""
-        if self._store:
-            self._store.clear()
+        """Drop every entry (capability-table generation bumped).
+
+        Copy-on-write: the cache moves to a fresh private store instead of
+        clearing the current one, which other caches may share.
+        """
+        self._store = {}
         self.stats.invalidations += 1
         if obs.is_enabled():
             obs.metrics().counter(

@@ -40,13 +40,73 @@ from repro.sched.trace import TraceJob
 from repro.utils.events import EventLog
 
 
+class Ownership(dict):
+    """A job's per-type GPU counts, versioned on every change.
+
+    ``grant``, ``revoke``, ``preempt`` (and through it the membership
+    eviction path) and ``release_all`` are the only writers of
+    :attr:`JobRuntime.owned`, and all of them go through this container:
+    every mutator bumps :attr:`version` (``release_all`` installs a fresh
+    vector).  A key derived from the vector (the companion's clamped
+    availability key) is valid while it was built from this same object
+    at its current version.
+    """
+
+    __slots__ = ("version",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.version = 0
+
+    def __setitem__(self, key: str, value: int) -> None:
+        super().__setitem__(key, value)
+        self.version += 1
+
+    def __delitem__(self, key: str) -> None:
+        super().__delitem__(key)
+        self.version += 1
+
+    def update(self, *args, **kwargs) -> None:  # type: ignore[override]
+        super().update(*args, **kwargs)
+        self.version += 1
+
+    def pop(self, *args):  # type: ignore[override]
+        value = super().pop(*args)
+        self.version += 1
+        return value
+
+    def popitem(self):  # type: ignore[override]
+        item = super().popitem()
+        self.version += 1
+        return item
+
+    def clear(self) -> None:
+        super().clear()
+        self.version += 1
+
+    def setdefault(self, key: str, default: int = 0) -> int:  # type: ignore[override]
+        value = super().setdefault(key, default)
+        self.version += 1
+        return value
+
+    def __ior__(self, other):
+        super().__ior__(other)
+        self.version += 1
+        return self
+
+    def __reduce__(self):
+        # rebuild through __init__: the default dict-subclass protocol
+        # replays items through __setitem__ before ``version`` exists
+        return (Ownership, (dict(self),))
+
+
 @dataclass
 class JobRuntime:
     """Mutable per-job state inside the simulator."""
 
     job: TraceJob
     remaining_work: float
-    owned: Dict[str, int] = field(default_factory=dict)
+    owned: Dict[str, int] = field(default_factory=Ownership)
     status: str = "pending"  # pending | running | done
     rate: float = 0.0
     start_time: Optional[float] = None
@@ -66,6 +126,10 @@ class JobRuntime:
     #: the exact time value that entry carries
     _eta_stamp: int = 0
     _eta_pushed: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.owned, Ownership):
+            self.owned = Ownership(self.owned)
 
     @property
     def total_owned(self) -> int:
@@ -279,7 +343,7 @@ class ClusterSimulator:
 
     def release_all(self, runtime: JobRuntime) -> None:
         self.cluster.release_all(runtime.job.job_id)
-        runtime.owned = {}
+        runtime.owned = Ownership()
 
     def free_by_type(self) -> Dict[str, int]:
         return {k.lower(): v for k, v in self.cluster.free_by_type().items()}

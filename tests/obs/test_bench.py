@@ -1,6 +1,8 @@
 """Bench trajectories: records, the noise-aware comparator, and the gate."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +10,15 @@ from repro.cli import main
 from repro.obs.bench import (
     AREAS,
     BENCH_SCHEMA_VERSION,
+    BENCHES,
+    BenchSpec,
     Trajectory,
     classify,
     compare_trajectory,
     gate_trajectories,
     make_record,
     record_samples,
+    run_benches,
     summarize_samples,
     trajectory_path,
     validate_record,
@@ -126,6 +131,50 @@ class TestTrajectory:
                            directory=str(tmp_path))
         traj = Trajectory.load("sched", trajectory_path("sched", str(tmp_path)))
         assert len(traj) == 2
+
+
+class TestUnits:
+    """Declared units survive every recording path (default: seconds)."""
+
+    def _saved(self, tmp_path, area):
+        return Trajectory.load(area, trajectory_path(area, str(tmp_path))).entries[-1]
+
+    def test_record_samples_keeps_declared_units(self, tmp_path):
+        record = record_samples(
+            "dessim", "b", {}, {"speedup_x": [2.0], "heap_s": [1.0]},
+            directions={"speedup_x": "higher"}, units={"speedup_x": "x"},
+            directory=str(tmp_path),
+        )
+        for rec in (record, self._saved(tmp_path, "dessim")):
+            assert rec["metrics"]["speedup_x"]["unit"] == "x"
+            assert rec["metrics"]["heap_s"]["unit"] == "s"
+
+    def test_dessim_spec_declares_ratio_unit(self):
+        assert BENCHES["dessim"].units == {"speedup_x": "x"}
+
+    def test_run_benches_threads_spec_units(self, tmp_path, monkeypatch):
+        spec = BenchSpec(
+            "dessim", "fake", lambda smoke: ({}, {"speedup_x": 3.0, "t": 1.0}),
+            directions={"speedup_x": "higher"}, units={"speedup_x": "x"},
+        )
+        monkeypatch.setitem(BENCHES, "dessim", spec)
+        [result] = run_benches(["dessim"], repeats=1, directory=str(tmp_path))
+        assert result.record["metrics"]["speedup_x"]["unit"] == "x"
+        assert self._saved(tmp_path, "dessim")["metrics"]["t"]["unit"] == "s"
+
+    def test_benchmark_recorder_threads_units(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+        module_spec = importlib.util.spec_from_file_location("bench_conftest", path)
+        helpers = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(helpers)
+        monkeypatch.setenv("REPRO_BENCH_RECORD", "1")
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+        record = helpers.record_trajectory(
+            "dessim", "month_trace", {}, {"speedup_x": [4.0]},
+            directions={"speedup_x": "higher"}, units={"speedup_x": "x"},
+        )
+        assert record["metrics"]["speedup_x"]["unit"] == "x"
+        assert self._saved(tmp_path, "dessim")["metrics"]["speedup_x"]["unit"] == "x"
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ class TestParser:
         assert args.determinism == "D1"
         assert not args.verify
 
+    def test_trace_sim_defaults_to_batched_core(self):
+        args = build_parser().parse_args(["trace-sim"])
+        assert args.core == "batched"
+
     def test_bad_determinism_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "resnet18", "--determinism", "D9"])
@@ -88,6 +92,15 @@ class TestCommands:
         assert main(["trace-sim", "--policy", "heter", "--jobs", "5",
                      "--core", "reference"]) == 0
         assert capsys.readouterr().out == heap_out
+
+    def test_trace_sim_default_core_matches_heap_schedule(self, capsys):
+        # the batched default prints the same per-policy outcome line as
+        # the heap core (its plan-cache counters differ: it memoizes more)
+        outcome = []
+        for extra in ([], ["--core", "heap"]):
+            assert main(["trace-sim", "--policy", "heter", "--jobs", "5", *extra]) == 0
+            outcome.append(capsys.readouterr().out.splitlines()[0])
+        assert outcome[0] == outcome[1] and "easyscale-heter" in outcome[0]
 
     def test_trace_sim_yarn_has_no_cache_stats(self, capsys):
         assert main(["trace-sim", "--policy", "yarn", "--jobs", "4"]) == 0
