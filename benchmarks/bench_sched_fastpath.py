@@ -159,7 +159,7 @@ def test_sched_fastpath_cold_vs_warm(run_once):
     print(
         f"\nwarm/cold speedup x{r['cold'] / r['warm']:.1f}   "
         f"cache {hits} hit(s) / {misses} miss(es)   "
-        f"vectors scored {scored}, pruned {pruned}"
+        f"count vectors scored {scored}, skipped by the bound {pruned}"
     )
 
     assert pruned > 0, "dominance bound never fired"

@@ -20,34 +20,62 @@ Fast path
 
 The full enumeration is ``O(max_gpus_per_type^|types|)`` and the §3.4
 proposal loop issues it once per (GPU-type × chunk) per round, so the
-database memoizes aggressively:
+database memoizes aggressively and searches cold queries best-first:
 
 - results are cached under the *normalized* availability vector (see
   :func:`~repro.sched.plancache.availability_key`), invalidated whenever
   the capability table's **generation** counter bumps — which every
   mutation path (``report_measurement``, ``apply_calibration``, direct
   item assignment) does automatically via :class:`_CapabilityTable`;
-- top-K searches apply **dominance pruning**: a GPU-count vector whose
-  aggregate capability ``Σ N_i·C_i`` — an upper bound on Eq. (1d)
-  throughput, since waste ≥ 0 — cannot beat the current K-th best is
-  never expanded into EST splits.  Visiting vectors in decreasing-bound
-  order turns the check into an early exit;
+- a cold top-K or delta query is one **ranked search** over a grid of
+  count vectors.  The grid is an int array holding every vector of a
+  product of per-type count ranges with ``0 < Σ N_i <= maxP`` (one
+  non-zero column for homogeneous plans): the full ``0..n_i`` box for
+  top-K, the ``old_cap < n_gtype <= new_cap`` slab for
+  :meth:`best_plan_delta`.  A grid depends only on (ranges, maxP,
+  ``homogeneous_only``), so it is built once into a module-level LRU
+  store capped at ``_GRID_STORE_CELLS`` counts and shared by every job;
+- every row gets an **exact Eq. (1) bound**, for the whole grid at once.
+  Substituting (1c) into (1d) gives ``throughput = maxP / f_overload``
+  (the ``Σ N_i·C_i`` and ``nEST/f`` terms cancel), so a count vector's
+  best plan is the floor/ceil EST choice with the smallest (1b)
+  overload factor among those feasible under (1a).  The bound computes
+  ``lo_i = max(1, int(maxP·C_i / Σ N·C))`` with the same float
+  expression as ``_ests_for_counts`` (``Σ N·C`` as a left fold in sorted
+  type order, bit for bit), takes ``max maxP / max_i(A_i/C_i)`` over the
+  feasible ``{lo_i, lo_i + 1}`` combos (``-inf`` if none is feasible:
+  the row has no plans), caps it at ``Σ N_i·C_i`` and adds a slack of
+  ``1e-9·Σ N_i·C_i``.  Every term of ``waste()`` is at most
+  ``Σ N_i·C_i`` in magnitude, so its rounding — and the ``_WASTE_EPS``
+  clamp it can trigger — moves a scored throughput by a few ulps of
+  ``Σ N_i·C_i``, far inside the slack: the bound is sound;
+- rows are visited in stable descending-bound order (ties keep grid
+  order) and scored one by one by the Eq. (1b–1d) code itself
+  (:meth:`_score_counts`, :func:`estimated_throughput`); the search stops
+  at the first bound strictly below the current K-th best.  Rows never
+  expanded are counted in :attr:`CompanionModule.vectors_pruned`;
 - :meth:`best_plan_delta` scores a scale-out hypothesis ``owned +
   chunk×gtype`` incrementally: the hypothetical plan space is the owned
-  space (already cached from Role-1) plus only the *slab* of vectors
-  using more than the owned count of ``gtype``.
+  space (already cached from Role-1) plus only the *slab*, searched with
+  the owned best as its initial floor.
 
 All three return **exactly** what the seed brute-force enumerator
 (:meth:`enumerate_plans_reference`) returns — same plans, same ranking —
-which the property suite in ``tests/sched/test_companion_fastpath.py``
-asserts.  To make that contract exact under ties, ranking uses the total
-order ``(-throughput, total_gpus, alloc)``.
+which the property suites in ``tests/sched/test_companion_fastpath.py``
+and ``tests/sched/test_companion_bound.py`` assert.  To make that
+contract exact under ties, ranking uses the total order
+``(-throughput, total_gpus, alloc)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import OrderedDict
+from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.sched.perfmodel import Plan, ScoredPlan, estimated_throughput
@@ -62,6 +90,59 @@ def _rank_key(scored: ScoredPlan) -> Tuple[float, int, Tuple[Tuple[str, int, int
     reference are comparable element-by-element.
     """
     return (-scored.throughput, scored.plan.total_gpus, scored.plan.alloc)
+
+
+#: relative slack added to every row bound: orders of magnitude above the
+#: few-ulp rounding of Eq. (1c), far below any real throughput gap
+_BOUND_SLACK = 1e-9
+
+#: count-vector grids by (per-type ranges, maxP, homogeneous_only), least
+#: recently used first; holds at most :data:`_GRID_STORE_CELLS` counts
+#: (plus the one grid in use, should it alone be larger)
+_GRID_STORE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_GRID_STORE_CELLS = 1 << 20
+
+
+def _count_grid(
+    ranges: Tuple[Tuple[int, int], ...], max_p: int, homogeneous_only: bool
+) -> np.ndarray:
+    """Every count vector in the product of inclusive per-type ``ranges``
+    with ``0 < Σ <= max_p`` (one non-zero count if ``homogeneous_only``),
+    one row each, in ``itertools.product`` order.  Read-only, shared."""
+    key = (ranges, max_p, homogeneous_only)
+    grid = _GRID_STORE.get(key)
+    if grid is not None:
+        _GRID_STORE.move_to_end(key)
+        return grid
+    # built column by column, dropping prefixes that already break a
+    # constraint, so no intermediate exceeds the final row count by more
+    # than one column's range
+    grid = np.zeros((1, 0), dtype=np.int64)
+    for lo, hi in ranges:
+        values = np.arange(lo, hi + 1, dtype=np.int64)
+        grid = np.column_stack(
+            (np.repeat(grid, len(values), axis=0), np.tile(values, len(grid)))
+        )
+        keep = grid.sum(axis=1) <= max_p
+        if homogeneous_only:
+            keep &= np.count_nonzero(grid, axis=1) <= 1
+        grid = grid[keep]
+    grid = grid[grid.sum(axis=1) > 0]
+    grid.setflags(write=False)
+    _GRID_STORE[key] = grid
+    cells = sum(g.size for g in _GRID_STORE.values())
+    while cells > _GRID_STORE_CELLS and len(_GRID_STORE) > 1:
+        cells -= _GRID_STORE.popitem(last=False)[1].size
+    return grid
+
+
+@lru_cache(maxsize=16)
+def _combo_bits(width: int) -> np.ndarray:
+    """All ``2**width`` floor/ceil choices as a (combos × width × 1) 0/1
+    array, broadcastable against (width × rows)."""
+    bits = np.array(list(itertools.product((0.0, 1.0), repeat=width)))[:, :, None]
+    bits.setflags(write=False)
+    return bits
 
 
 class _CapabilityTable(dict):
@@ -262,7 +343,10 @@ class CompanionModule:
     def _ests_for_counts(self, counts: Mapping[str, int]) -> Iterable[Dict[str, int]]:
         """Proportional-to-capability EST split, floor/ceil enumerated."""
         types = sorted(counts)
-        total_cap = sum(counts[t] * self.capability[t] for t in types)
+        # a left fold in sorted type order, which _grid_bounds reproduces
+        total_cap = 0.0
+        for t in types:
+            total_cap += counts[t] * self.capability[t]
         if total_cap <= 0:
             return
         ideal = {t: self.max_p * self.capability[t] / total_cap for t in types}
@@ -320,6 +404,8 @@ class CompanionModule:
 
     def best_plans(self, available: Mapping[str, int], top_k: int = 3) -> List[ScoredPlan]:
         """Top-K plans; cached and dominance-pruned (see module docs)."""
+        if top_k < 1:
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         key = self.clamped_key(available)
         full = self._full_cache.get(key)
         if full is not MISS:
@@ -336,45 +422,69 @@ class CompanionModule:
         return plans[0] if plans else None
 
     # ------------------------------------------------------------------
-    # pruned / incremental search
+    # ranked search
     # ------------------------------------------------------------------
-    def _upper_bound(self, counts: Mapping[str, int]) -> float:
-        """Aggregate capability ``Σ N_i·C_i`` ≥ Eq. (1d) throughput."""
-        return sum(n * self.capability[t] for t, n in counts.items())
+    def _grid_bounds(self, types: Tuple[str, ...], grid: np.ndarray) -> np.ndarray:
+        """Per-row upper bound on the Eq. (1d) throughput of every plan
+        :meth:`_score_counts` yields for that count vector; ``-inf`` where
+        no floor/ceil EST split is feasible.  See "Fast path" in the
+        module docs."""
+        caps = [self.capability[t] for t in types]
+        # arrays are (combos ×) types × rows: long inner loops over rows
+        counts = grid.T
+        # column-sequential left fold in sorted type order: the very
+        # float expression _ests_for_counts evaluates, bit for bit
+        total = counts[0] * caps[0]
+        for n, cap in zip(counts[1:], caps[1:]):
+            total = total + n * cap
+        column = np.array(caps)[:, None]
+        lo = np.maximum(1.0, np.trunc(self.max_p * column / total))
+        # unused types get no ESTs, so they neither add EST slots nor set
+        # the overload factor
+        ests = (lo + _combo_bits(len(types))) * (counts > 0)
+        feasible = (counts * ests).sum(axis=1) >= self.max_p
+        throughput = self.max_p / (ests / column).max(axis=1)
+        best = np.where(feasible, throughput, -np.inf).max(axis=0)
+        # maxP/f_overload <= Σ N·C exactly; the slack absorbs the rounding
+        # of the Eq. (1c) subtraction in waste() (a few ulps of Σ N·C)
+        return np.minimum(best, total) + _BOUND_SLACK * total
 
-    def _ordered_vectors(
-        self, vectors: Iterable[Mapping[str, int]]
-    ) -> List[Tuple[float, Tuple[Tuple[str, int], ...], Dict[str, int]]]:
-        """Decorate count vectors with bounds, best-first (deterministic)."""
-        decorated = [
-            (self._upper_bound(counts), tuple(sorted(counts.items())), dict(counts))
-            for counts in vectors
-        ]
-        decorated.sort(key=lambda item: (-item[0], item[1]))
-        return decorated
-
-    def _search_topk(
-        self, key: Tuple[Tuple[str, int], ...], top_k: int
+    def _ranked_search(
+        self,
+        types: Tuple[str, ...],
+        ranges: Tuple[Tuple[int, int], ...],
+        best: List[ScoredPlan],
+        top_k: int,
     ) -> List[ScoredPlan]:
-        """Best-first top-K search with the dominance bound as early exit.
+        """Top ``top_k`` of ``best`` and every plan of one count-vector grid.
 
-        Equivalent to ``enumerate_plans_reference(...)[:top_k]``: a vector
-        is skipped only when its throughput upper bound is *strictly*
-        below the current K-th best — a bound exactly equal to the floor
-        must still be expanded because the ``(total_gpus, alloc)``
-        tie-break can place one of its plans inside the top K.
+        Rows are scored best-bound first and the search stops at the first
+        bound *strictly* below the current K-th best throughput — a bound
+        equal to the floor must still be expanded because the
+        ``(total_gpus, alloc)`` tie-break can place one of its plans
+        inside the top K.  The answer depends only on :func:`_rank_key`,
+        never on visiting order.
         """
-        available = dict(key)
-        best: List[ScoredPlan] = []
-        floor: Optional[float] = None
+        grid = _count_grid(ranges, self.max_p, self.homogeneous_only)
+        if not len(grid):
+            return best
+        bounds = self._grid_bounds(types, grid)
+        order = np.argsort(-bounds, kind="stable")
+        ranked = bounds[order].tolist()
+        # rows without a feasible EST split sort last and are never scored
+        live = len(ranked) - ranked.count(-math.inf)
+        floor = best[-1].throughput if len(best) == top_k else None
         seen: set = set()
-        for bound, _, counts in self._ordered_vectors(self._candidate_counts(available)):
-            if floor is not None and bound < floor:
-                # vectors are bound-sorted: nothing below can recover
-                self.vectors_pruned += 1
+        for pos in range(live):
+            if floor is not None and ranked[pos] < floor:
+                # rows are bound-sorted: nothing below can recover
+                skipped = live - pos
+                self.vectors_pruned += skipped
                 if obs.is_enabled():
-                    obs.metrics().counter("sched_plan_vectors_pruned_total").inc()
+                    obs.metrics().counter("sched_plan_vectors_pruned_total").inc(skipped)
                 break
+            row = grid[order[pos]].tolist()
+            counts = {t: n for t, n in zip(types, row) if n}
             candidates = self._score_counts(counts, seen)
             if not candidates:
                 continue
@@ -382,6 +492,15 @@ class CompanionModule:
             if len(best) == top_k:
                 floor = best[-1].throughput
         return best
+
+    def _search_topk(
+        self, key: Tuple[Tuple[str, int], ...], top_k: int
+    ) -> List[ScoredPlan]:
+        """``enumerate_plans_reference(dict(key))[:top_k]`` by ranked search
+        over the full box of per-type counts ``0..n`` of ``key``."""
+        types = tuple(t for t, _ in key)
+        ranges = tuple((0, n) for _, n in key)
+        return self._ranked_search(types, ranges, [], top_k)
 
     def best_plan_delta(
         self, owned: Mapping[str, int], gtype: str, chunk: int
@@ -391,10 +510,10 @@ class CompanionModule:
         Exactly ``best_plan({**owned, gtype: owned.get(gtype, 0) + chunk})``
         — but instead of re-enumerating the full hypothetical space, it
         takes the better of (a) the cached best plan for ``owned`` and
-        (b) the best plan in the *slab* of count vectors that use more
-        than the owned count of ``gtype``; those two sets partition the
-        hypothetical space.  The slab search reuses the dominance bound
-        with the owned best as its initial floor.
+        (b) the best plan in the *slab* of count vectors with
+        ``old_cap < n_gtype <= new_cap`` (every other type keeps its owned
+        cap); those two sets partition the hypothetical space.  The slab
+        search starts with the owned best as its floor.
         """
         if chunk <= 0:
             raise ValueError(f"chunk must be positive, got {chunk}")
@@ -413,52 +532,15 @@ class CompanionModule:
         cached = self._delta_cache.get(delta_key)
         if cached is not MISS:
             return cached
-        best = base
-        seen: set = set()
-        slab = self._slab_vectors(owned, gtype, old_cap, new_cap)
-        for bound, _, counts in self._ordered_vectors(slab):
-            if best is not None and bound < best.throughput:
-                self.vectors_pruned += 1
-                if obs.is_enabled():
-                    obs.metrics().counter("sched_plan_vectors_pruned_total").inc()
-                break
-            for candidate in self._score_counts(counts, seen):
-                if best is None or _rank_key(candidate) < _rank_key(best):
-                    best = candidate
+        ranges = {t: (0, n) for t, n in owned_key if t != gtype}
+        ranges[gtype] = (old_cap + 1, new_cap)
+        types = tuple(sorted(ranges))
+        found = self._ranked_search(
+            types, tuple(ranges[t] for t in types), [base] if base is not None else [], 1
+        )
+        best = found[0] if found else None
         self._delta_cache.put(delta_key, best)
         return best
-
-    def _slab_vectors(
-        self, owned: Mapping[str, int], gtype: str, old_cap: int, new_cap: int
-    ) -> Iterable[Dict[str, int]]:
-        """Count vectors with ``old_cap < n_gtype <= new_cap``.
-
-        These are exactly the hypothetical-space vectors absent from the
-        owned space (every other type keeps its owned cap).
-        """
-        lo = max(old_cap + 1, 1)
-        if self.homogeneous_only:
-            for n in range(lo, new_cap + 1):
-                yield {gtype: n}
-            return
-        others = [
-            t
-            for t in sorted(owned)
-            if t != gtype and owned[t] > 0 and t in self.capability
-        ]
-        ranges = [
-            range(0, min(owned[t], self.max_p, self.max_gpus_per_type) + 1)
-            for t in others
-        ]
-        for n in range(lo, new_cap + 1):
-            if n > self.max_p:
-                break
-            for counts in itertools.product(*ranges):
-                if n + sum(counts) > self.max_p:
-                    continue
-                vector = {t: c for t, c in zip(others, counts) if c > 0}
-                vector[gtype] = n
-                yield vector
 
     # ------------------------------------------------------------------
     # bias correction

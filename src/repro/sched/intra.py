@@ -134,6 +134,8 @@ class IntraJobScheduler:
 
     @top_k.setter
     def top_k(self, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"top_k must be >= 1, got {k}")
         self._top_k = k
         self._class_memo = None
 
